@@ -272,20 +272,13 @@ def _throttled_guardrail(program, delay_s: float):
             time.sleep(delay_s)
             return self._inner.check_batch(batch)
 
-        def check_row(self, row):
-            time.sleep(delay_s)
-            return self._inner.check_row(row)
-
         def rectify(self, row):
             time.sleep(delay_s)
             return self._inner.rectify(row)
 
     class _ThrottledGuardrail(Guardrail):
-        def batch_guard(self, batch_size: int = 256):
-            return _Throttled(super().batch_guard(batch_size))
-
-        def row_guard(self):
-            return _Throttled(super().row_guard())
+        def guard(self):
+            return _Throttled(super().guard())
 
     return _ThrottledGuardrail.from_program(program)
 

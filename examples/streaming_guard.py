@@ -1,10 +1,10 @@
 """Streaming deployment: vet rows one at a time (paper Fig. 1).
 
 Production guardrails sit in front of the model and see one row per
-request.  :class:`repro.errors.RowGuard` compiles the synthesized
-program into hash indexes so each check costs a handful of dictionary
-probes; this example simulates a serving loop over a corrupted feed and
-prints the guard's running statistics.
+request.  :class:`repro.errors.Guard` vets each one against the
+compiled program, whose statements keep first-match dicts so each check
+costs a handful of dictionary probes; this example simulates a serving
+loop over a corrupted feed and prints the guard's running statistics.
 
 Run:  python examples/streaming_guard.py
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import obs
 from repro.datasets import load
-from repro.errors import RowGuard, inject_errors
+from repro.errors import inject_errors
 from repro.ml import NaiveBayes
 from repro.synth import Guardrail, GuardrailConfig
 
@@ -24,13 +24,13 @@ def main() -> None:
     train, serving = dataset.relation.split(0.6, rng)
 
     model = NaiveBayes().fit(train, dataset.target)
-    guard_batch = Guardrail(
+    guardrail = Guardrail(
         GuardrailConfig(epsilon=0.02, min_support=4)
     ).fit(train)
-    guard = RowGuard(guard_batch.program)
+    guard = guardrail.guard()
     print(
         f"compiled {len(guard)} statements into the streaming guard "
-        f"({len(guard_batch.program.branches)} branches)"
+        f"({len(guardrail.program.branches)} branches)"
     )
 
     # A corrupted request stream.

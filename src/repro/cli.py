@@ -720,7 +720,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             detector.scan(stream, ~mask, pool=pool)
             flagged = int(mask.sum())
         else:
-            row_guard = guard.row_guard()
+            row_guard = guard.guard()
             row_guard.attach_drift(detector)
             flagged = sum(
                 0 if row_guard.check(row).ok else 1

@@ -7,9 +7,10 @@ matching branch of each statement and **threads the updated state**
 into the statements that follow.  Everything vectorized in the repo —
 :func:`repro.errors.detect.detect_errors`, the 0/1 loss in
 :mod:`repro.dsl.metrics`, coverage selection during synthesis, the SQL
-executor's guard stage, and :class:`repro.errors.stream.BatchGuard` —
-funnels through the kernels here, so the batch paths cannot drift from
-the row semantics again.
+executor's guard stage — funnels through the kernels here, and the
+streaming :class:`repro.errors.Guard` vets rows one at a time through
+:meth:`CompiledProgram.run_row`, so no path can drift from the row
+semantics again.
 
 Three layers of caching make repeated evaluation cheap:
 
@@ -55,6 +56,9 @@ from .ast import Branch, Condition, Program
 UNSEEN: int = -2
 """Code for a value outside the compile-time codecs: it matches nothing,
 not even :data:`~repro.relation.MISSING`."""
+
+_NO_BRANCH = object()
+"""First-match dict miss: no branch of the statement applies."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +209,9 @@ class CompiledStatement:
     dims: tuple[int, ...]
     """Radix sizes per determinant: extended cardinality + 2, so codes
     down to :data:`UNSEEN` (-2) index without branching."""
+    first_match: dict[tuple[Hashable, ...], Hashable]
+    """Raw determinant values → dependent literal of the first branch
+    they match (the per-row probe of :meth:`CompiledProgram.run_row`)."""
 
 
 @dataclass
@@ -281,6 +288,11 @@ class CompiledProgram:
                 for name, value in branch.condition.atoms:
                     literals.setdefault(name, {})[value] = None
         self.program = program
+        self.domains: dict[str, tuple[Hashable, ...]] = {
+            attr: tuple(values) for attr, values in literals.items()
+        }
+        """Every literal the program mentions, per attribute, in first-seen
+        order: the candidate values of a single-cell repair."""
         self.codecs: dict[str, Codec] = {
             attr: (codecs.get(attr) or Codec(())).extend(values)
             for attr, values in literals.items()
@@ -309,6 +321,17 @@ class CompiledProgram:
             dims = tuple(
                 len(self.codecs[name]) + 2 for name in determinants
             )
+            first_match: dict[tuple[Hashable, ...], Hashable] = {}
+            for branch in statement.branches:
+                # setdefault, not assignment: hand-built programs can
+                # repeat a condition, and the earliest branch must win.
+                first_match.setdefault(
+                    tuple(
+                        branch.condition.value_of(name)
+                        for name in determinants
+                    ),
+                    branch.literal,
+                )
             self.statements.append(
                 CompiledStatement(
                     index=index,
@@ -319,6 +342,7 @@ class CompiledProgram:
                     expected_codes=expected_codes,
                     lut=self._build_lut(condition_codes, dims),
                     dims=dims,
+                    first_match=first_match,
                 )
             )
 
@@ -373,6 +397,37 @@ class CompiledProgram:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
+
+    def run_row(
+        self, row: Mapping[str, Hashable]
+    ) -> tuple[tuple[str, Hashable], ...]:
+        """Eqn. 1 on one decoded row, without encoding it.
+
+        Returns the ``(attribute, expected)`` writes of ``[[p]]_t`` when
+        the row violates the program, and ``()`` when it conforms.  Each
+        statement probes its first-match dict with the *threaded* state,
+        so an upstream rewrite feeds downstream reads.  An absent
+        attribute reads as ``None``, like a missing cell.
+        """
+        original = dict(row)
+        state = original
+        writes: list[tuple[str, Hashable]] = []
+        for statement in self.statements:
+            expected = statement.first_match.get(
+                tuple(state.get(name) for name in statement.determinants),
+                _NO_BRANCH,
+            )
+            if expected is _NO_BRANCH:
+                continue
+            dependent = statement.dependent
+            if state.get(dependent) != expected:
+                if state is original:
+                    state = dict(original)
+                state[dependent] = expected
+                writes.append((dependent, expected))
+        if not writes or state == original:
+            return ()
+        return tuple(writes)
 
     def detect(self, relation: Relation) -> KernelResult:
         """Run the kernel over a relation, memoized per relation.
@@ -491,9 +546,8 @@ class CompiledProgram:
     ) -> KernelResult:
         """Run the kernel over raw code arrays (no relation required).
 
-        This is the entry point :class:`repro.errors.stream.BatchGuard`
-        uses: encode a micro-batch of rows with :meth:`encode_value`
-        and evaluate them without building a :class:`Relation`.
+        Encode rows with :meth:`encode_value` and evaluate them without
+        building a :class:`Relation`.
         """
         if n_rows is None:
             n_rows = len(next(iter(codes.values()))) if codes else 0

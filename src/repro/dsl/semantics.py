@@ -5,16 +5,18 @@
 ``[[p]]_t`` executes the program's statements in order, each statement
 applies the **first** branch whose condition the *current* state
 satisfies, and the **updated state is threaded** into the statements
-that follow.  Every evaluation path implements this definition:
+that follow.  Two modules evaluate it:
 
 * **Row semantics** (here): :func:`run_program` / :func:`row_conforms`
-  — the executable reference, also driving rectification.
-* **Vectorized semantics**: :func:`program_violations` (delegating to
-  the compiled kernels of :mod:`repro.dsl.compiled`) — identical
-  verdicts, computed over whole relations at once.
-* **Streaming guards**: :class:`repro.errors.stream.RowGuard` and
-  :class:`~repro.errors.stream.BatchGuard` — identical verdicts, per
-  incoming row or micro-batch.
+  — the executable reference the tests judge every fast path against,
+  also the fallback rewrite of rectification.
+* **Compiled semantics** (:mod:`repro.dsl.compiled`), the only fast
+  engine and the one every production path goes through:
+  :meth:`~repro.dsl.CompiledProgram.detect` runs the numpy kernel over
+  whole relations (:func:`program_violations`,
+  :func:`repro.errors.detect_errors`, the SQL guard stage), and
+  :meth:`~repro.dsl.CompiledProgram.run_row` vets one decoded row
+  (:class:`repro.errors.Guard`, ``Guardrail.check_row``).
 
 The *branch-local* helpers (:func:`condition_mask`,
 :func:`branch_masks`) are deliberately not state-threaded: they back
@@ -44,15 +46,6 @@ def condition_holds(condition: Condition, row: Row) -> bool:
     return all(row.get(name) == literal for name, literal in condition.atoms)
 
 
-def apply_branch(branch: Branch, row: Row) -> Row:
-    """``[[b]]_t``: if the condition holds, assign the dependent."""
-    if condition_holds(branch.condition, row):
-        updated = dict(row)
-        updated[branch.dependent] = branch.literal
-        return updated
-    return row
-
-
 def apply_statement(statement: Statement, row: Row) -> Row:
     """``[[s]]_t``: apply the (at most one) matching branch."""
     for branch in statement.branches:
@@ -74,14 +67,6 @@ def run_program(program: Program, row: Row) -> Row:
 def row_conforms(program: Program, row: Row) -> bool:
     """The error-detection assertion (paper Eqn. 1): ``[[p]]_t = t``."""
     return run_program(program, row) == dict(row)
-
-
-def branch_matches(statement: Statement, row: Row) -> Branch | None:
-    """The branch of ``statement`` whose condition the row satisfies."""
-    for branch in statement.branches:
-        if condition_holds(branch.condition, row):
-            return branch
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +106,6 @@ def branch_masks(
     expected = _literal_code(relation, branch.dependent, branch.literal)
     violating = applicable & (relation.codes(branch.dependent) != expected)
     return applicable, violating
-
-
-def statement_violations(statement: Statement, relation: Relation) -> np.ndarray:
-    """Mask of rows whose *first* matching branch would rewrite them.
-
-    First-match, like :func:`apply_statement`: once a branch's
-    condition claims a row, later branches never see it, so a row can
-    never be double-flagged by overlapping conditions.
-    """
-    out = np.zeros(relation.n_rows, dtype=bool)
-    unclaimed = np.ones(relation.n_rows, dtype=bool)
-    for branch in statement.branches:
-        applicable, violating = branch_masks(branch, relation)
-        out |= violating & unclaimed
-        unclaimed &= ~applicable
-    return out
 
 
 def program_violations(program: Program, relation: Relation) -> np.ndarray:

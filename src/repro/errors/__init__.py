@@ -7,7 +7,7 @@ from .handle import (
     Strategy,
     apply_strategy,
 )
-from .stream import BatchGuard, GuardStats, RowGuard, RowVerdict
+from .stream import BatchGuard, Guard, GuardStats, RowVerdict
 from .inject import (
     InjectedError,
     InjectionReport,
@@ -16,8 +16,7 @@ from .inject import (
 )
 
 __all__ = [
-    "BatchGuard",
-    "RowGuard",
+    "Guard",
     "RowVerdict",
     "GuardStats",
     "DetectionResult",

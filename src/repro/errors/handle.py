@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ..dsl import Program
+from ..dsl import Program, compiled_for
 from ..relation import MISSING, Relation
 from .detect import DetectionResult, detect_errors
 
@@ -141,7 +141,7 @@ def _rectify(
     """
     from ..dsl.semantics import run_program
 
-    domains = _program_domains(program)
+    domains = compiled_for(program, relation).domains
     updates: dict[str, dict[int, Hashable]] = {}
     changed: list[tuple[int, str]] = []
     for row_index in detection.flagged_rows():
@@ -168,17 +168,6 @@ def _rectify(
             arr[row_index] = codec.encode_one(value)
         out = out.replace_codes(name, arr)
     return HandlingOutcome(out, detection, Strategy.RECTIFY, changed)
-
-
-def _program_domains(program: Program) -> dict[str, list[Hashable]]:
-    """Candidate repair values per attribute: those the program mentions."""
-    domains: dict[str, dict[Hashable, None]] = {}
-    for statement in program:
-        for branch in statement.branches:
-            domains.setdefault(branch.dependent, {})[branch.literal] = None
-            for name, value in branch.condition.atoms:
-                domains.setdefault(name, {})[value] = None
-    return {name: list(values) for name, values in domains.items()}
 
 
 def _count_violations(program: Program, row: dict) -> int:
@@ -211,13 +200,15 @@ def _count_satisfied(program: Program, row: dict) -> int:
 def _repair_row(
     program: Program,
     row: dict,
-    domains: dict[str, list[Hashable]],
+    domains: Mapping[str, Sequence[Hashable]],
 ) -> dict:
     """Best single-cell repair of a violating row, or {} if none conforms.
 
-    Candidates are the attributes implicated by the violated branches;
-    ties between conforming repairs prefer dependents (the case-study
-    behaviour) over determinants.
+    Candidates are the attributes implicated by the violated branches,
+    tried against ``domains`` — the program's literals per attribute
+    (:attr:`repro.dsl.CompiledProgram.domains`); ties between conforming
+    repairs prefer dependents (the case-study behaviour) over
+    determinants.
     """
     from ..dsl.semantics import condition_holds, run_program
 

@@ -1,27 +1,19 @@
-"""Streaming guards (the deployment mode of Fig. 1).
+"""The streaming guard (the deployment mode of Fig. 1).
 
 The batch path (:mod:`repro.errors.detect`) vectorizes over a whole
 relation; production guardrails instead vet rows as they arrive at the
-model.  Two compiled forms of the same canonical semantics
-(first-match, state-threaded Eqn. 1 — see :mod:`repro.dsl.semantics`)
-cover the two arrival patterns:
+model.  :class:`Guard` does that over the compiled program of
+:mod:`repro.dsl.compiled`: every row, alone or in a micro-batch, costs
+one first-match dict probe per statement
+(:meth:`~repro.dsl.CompiledProgram.run_row`), and a whole relation goes
+through the numpy kernel (:meth:`Guard.check_relation`).
 
-* :class:`RowGuard` vets rows *one at a time*: the program becomes
-  per-statement hash indexes (determinant values → expected literal),
-  so each row costs O(#statements) dictionary probes regardless of how
-  many branches the program has.
-* :class:`BatchGuard` vets *micro-batches*: rows are integer-coded and
-  pushed through the numpy kernels of :mod:`repro.dsl.compiled`,
-  amortizing the per-row probe overhead across the batch.
-
-    guard = RowGuard(program)
+    guard = Guard(program)
     verdict = guard.check({"rel": "Husband", "marital-status": "Single"})
     verdict.ok                 # False
     verdict.violations         # (("marital-status", "Married-civ-spouse"),)
     guard.rectify(row)         # repaired copy of the row
-
-    batch = BatchGuard(program, batch_size=256)
-    for verdict in batch.stream(incoming_rows):
+    for verdict in guard.stream(incoming_rows):
         ...
 """
 
@@ -37,7 +29,6 @@ from .. import obs
 from ..dsl import Program
 from ..dsl.compiled import compile_program, compiled_for
 from ..relation import Relation
-from ..relation.encoding import Codec
 
 
 @dataclass(frozen=True)
@@ -52,11 +43,7 @@ class RowVerdict:
         return self.ok
 
 
-@dataclass
-class _CompiledStatement:
-    determinants: tuple[str, ...]
-    dependent: str
-    table: dict[tuple[Hashable, ...], Hashable]
+_CONFORMS = RowVerdict(True)
 
 
 @dataclass
@@ -75,60 +62,50 @@ class GuardStats:
             return 0.0
         return self.rows_flagged / self.rows_checked
 
+    def flag(self, violations: tuple[tuple[str, Hashable], ...]) -> None:
+        """Count one flagged row and the attributes it violates."""
+        self.rows_flagged += 1
+        counts = self.violations_by_attribute
+        for attribute, _ in violations:
+            counts[attribute] = counts.get(attribute, 0) + 1
 
-class RowGuard:
-    """A program compiled for per-row checking and repair."""
+
+class Guard:
+    """A program compiled for per-row vetting and repair.
+
+    Verdicts follow the canonical first-match, state-threaded Eqn. 1
+    semantics of :mod:`repro.dsl.semantics`, whichever entry point
+    produced them.
+    """
 
     def __init__(self, program: Program):
         self.program = program
-        self._statements: list[_CompiledStatement] = []
-        for statement in program:
-            table: dict[tuple[Hashable, ...], Hashable] = {}
-            for branch in statement.branches:
-                key = tuple(
-                    branch.condition.value_of(d)
-                    for d in statement.determinants
-                )
-                # setdefault, not assignment: if two branches ever carry
-                # the same determinant values (impossible via the
-                # Statement constructor, but hand-built programs exist),
-                # first-match order must win, not last-write.
-                table.setdefault(key, branch.literal)
-            self._statements.append(
-                _CompiledStatement(
-                    statement.determinants, statement.dependent, table
-                )
-            )
+        self.compiled = compile_program(program)
         self.stats = GuardStats()
         self._drift = None
-        self._drift_tick = 0
-        self._drift_every = 1
-
-    # ------------------------------------------------------------------
-
-    def attach_drift(self, detector) -> None:
-        """Feed every verdict into a drift detector.
-
-        ``detector`` follows the :class:`repro.resilience.DriftDetector`
-        protocol (``sample_every`` + ``ingest(row, ok)``); pass ``None``
-        to detach.  The guard inlines the detector's 1-in-k sampling
-        countdown (``_drift_tick``; 0 doubles as "no detector"), so a
-        skipped row pays one decrement — no method call — and only
-        every k-th verdict reaches the detector.
-        """
-        self._drift = detector
-        self._drift_every = (
-            getattr(detector, "sample_every", 1) if detector else 1
-        )
-        self._drift_tick = self._drift_every if detector else 0
+        # The detector's bound ``observe``, looked up once at attach time:
+        # the per-row feed is on the hot path.
+        self._observe = None
 
     @property
     def drift(self):
         """The attached drift detector, if any."""
         return self._drift
 
+    def attach_drift(self, detector) -> None:
+        """Feed every verdict into a drift detector; ``None`` detaches.
+
+        ``detector`` follows the :class:`repro.resilience.DriftDetector`
+        protocol: ``observe(row, ok)`` per checked row and
+        ``observe_batch(rows, oks)`` per batch.  The detector owns its
+        1-in-k sampling countdown, so changing its ``sample_every``
+        takes effect on the guard's traffic.
+        """
+        self._drift = detector
+        self._observe = None if detector is None else detector.observe
+
     def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Vet one row; O(#statements) hash probes.
+        """Vet one row; O(#statements) dict probes.
 
         With tracing enabled (:mod:`repro.obs`) each call also emits a
         latency sample and a tripwire-style ``guard.verdict`` record;
@@ -136,22 +113,13 @@ class RowGuard:
         """
         traced = obs.enabled()
         start = time.perf_counter() if traced else 0.0
-        verdict = self._verdict(row)
-        tick = self._drift_tick
-        if tick:
-            if tick != 1:
-                self._drift_tick = tick - 1
-            else:
-                self._drift_tick = self._drift_every
-                self._drift.ingest(row, verdict.ok)
+        violations = self.compiled.run_row(row)
+        verdict = RowVerdict(False, violations) if violations else _CONFORMS
+        if self._observe is not None:
+            self._observe(row, not violations)
         self.stats.rows_checked += 1
-        if not verdict.ok:
-            self.stats.rows_flagged += 1
-            for attribute, _ in verdict.violations:
-                self.stats.violations_by_attribute[attribute] = (
-                    self.stats.violations_by_attribute.get(attribute, 0)
-                    + 1
-                )
+        if violations:
+            self.stats.flag(violations)
         if traced:
             obs.observe(
                 "guard.check_seconds", time.perf_counter() - start
@@ -163,26 +131,61 @@ class RowGuard:
             )
         return verdict
 
-    def _verdict(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Stat-free vetting (used internally by repair).
+    def check_batch(
+        self, rows: Sequence[Mapping[str, Hashable]]
+    ) -> list[RowVerdict]:
+        """Vet a micro-batch; one :class:`RowVerdict` per row, in order.
 
-        Implements the canonical Eqn. 1 semantics: statements probe the
-        *threaded* state (an upstream rewrite feeds downstream reads),
-        and the verdict compares the final state with the input row.
+        Rows are probed one by one: served batches hold a few rows,
+        where encoding them for the numpy kernel costs more than it
+        saves (``docs/PERFORMANCE.md``).  With tracing enabled a
+        ``guard.batch`` record and a latency sample are emitted per
+        call.
         """
-        original = dict(row)
-        state = dict(original)
-        writes: list[tuple[str, Hashable]] = []
-        for compiled in self._statements:
-            expected = self._expected(compiled, state)
-            if expected is _NO_BRANCH:
-                continue
-            if state.get(compiled.dependent) != expected:
-                writes.append((compiled.dependent, expected))
-                state[compiled.dependent] = expected
-        if state == original:
-            return RowVerdict(True)
-        return RowVerdict(False, tuple(writes))
+        rows = list(rows)
+        traced = obs.enabled()
+        start = time.perf_counter() if traced else 0.0
+        run_row = self.compiled.run_row
+        verdicts = [
+            RowVerdict(False, violations) if violations else _CONFORMS
+            for violations in map(run_row, rows)
+        ]
+        if self._drift is not None and rows:
+            self._drift.observe_batch(rows, [v.ok for v in verdicts])
+        stats = self.stats
+        stats.rows_checked += len(rows)
+        for verdict in verdicts:
+            if not verdict.ok:
+                stats.flag(verdict.violations)
+        if traced:
+            obs.observe(
+                "guard.batch_seconds", time.perf_counter() - start
+            )
+            obs.record(
+                "guard.batch",
+                n_rows=len(rows),
+                flagged=sum(1 for v in verdicts if not v.ok),
+            )
+        return verdicts
+
+    def stream(
+        self, rows: Iterable[Mapping[str, Hashable]]
+    ) -> Iterator[RowVerdict]:
+        """Vet an incoming row stream, yielding verdicts in order."""
+        for row in rows:
+            yield self.check(row)
+
+    def check_relation(self, relation: Relation) -> np.ndarray:
+        """Row-violation mask for a whole relation.
+
+        Runs the numpy kernel compiled against the relation's own
+        codecs (memoized), so this matches
+        :func:`repro.errors.detect.detect_errors` bit for bit.
+        """
+        result = compiled_for(self.program, relation).detect(relation)
+        self.stats.rows_checked += relation.n_rows
+        self.stats.rows_flagged += result.n_flagged
+        return result.row_mask
 
     def rectify(self, row: Mapping[str, Hashable]) -> dict[str, Hashable]:
         """Repair one row (same policy as the batch rectify strategy).
@@ -191,18 +194,15 @@ class RowGuard:
         per-statement dependent rewrite, applied in program order so
         upstream repairs feed downstream checks.
         """
-        from .handle import _program_domains, _repair_row
+        from .handle import _repair_row
 
         traced = obs.enabled()
         start = time.perf_counter() if traced else 0.0
-        verdict = self._verdict(row)
-        if verdict.ok:
+        if not self.compiled.run_row(row):
             return dict(row)
         self.stats.rows_rectified += 1
         repaired = dict(row)
-        changes = _repair_row(
-            self.program, repaired, _program_domains(self.program)
-        )
+        changes = _repair_row(self.program, repaired, self.compiled.domains)
         repaired.update(changes)
         if traced:
             obs.observe(
@@ -241,200 +241,10 @@ class RowGuard:
                 out[attribute] = None
         return out
 
-    # ------------------------------------------------------------------
-
-    def _expected(
-        self, compiled: _CompiledStatement, row: Mapping[str, Hashable]
-    ):
-        # row.get(d) defaults to None, matching condition_holds: an
-        # absent attribute behaves like a missing (None) cell.
-        key = tuple(row.get(d) for d in compiled.determinants)
-        return compiled.table.get(key, _NO_BRANCH)
-
     def __len__(self) -> int:
-        return len(self._statements)
+        return len(self.compiled.statements)
 
 
-class BatchGuard:
-    """Vectorized sibling of :class:`RowGuard` for micro-batched vetting.
-
-    Rows are integer-coded against the program's compiled codecs and
-    evaluated by the numpy kernels of :mod:`repro.dsl.compiled`, so the
-    per-row cost of dictionary probes is amortized across the batch.
-    Verdicts are identical to :class:`RowGuard` — both implement the
-    canonical first-match, state-threaded Eqn. 1 semantics.
-
-    Parameters
-    ----------
-    program:
-        The integrity-constraint program to enforce.
-    codecs:
-        Optional base codecs (e.g. the training relation's) to compile
-        against; the program's own literals are always folded in, so
-        omitting this is safe.
-    batch_size:
-        Rows per kernel invocation when consuming a stream.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        codecs: Mapping[str, Codec] | None = None,
-        batch_size: int = 256,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.program = program
-        self.batch_size = int(batch_size)
-        self._compiled = compile_program(program, codecs)
-        self.stats = GuardStats()
-        self._drift = None
-        self._drift_tick = 0
-        self._drift_every = 1
-
-    # ------------------------------------------------------------------
-
-    def attach_drift(self, detector) -> None:
-        """Feed every verdict into a drift detector (see
-        :meth:`RowGuard.attach_drift`); ``None`` detaches.  The 1-in-k
-        sampling countdown carries across batch boundaries, so the
-        batch path samples exactly the rows the row path would."""
-        self._drift = detector
-        self._drift_every = (
-            getattr(detector, "sample_every", 1) if detector else 1
-        )
-        self._drift_tick = self._drift_every if detector else 0
-
-    @property
-    def drift(self):
-        """The attached drift detector, if any."""
-        return self._drift
-
-    def check_batch(
-        self, rows: Sequence[Mapping[str, Hashable]]
-    ) -> list[RowVerdict]:
-        """Vet a batch of rows in one kernel pass.
-
-        Returns one :class:`RowVerdict` per input row, in order.  With
-        tracing enabled a ``guard.batch`` record and a latency sample
-        are emitted per flush.
-        """
-        rows = list(rows)
-        traced = obs.enabled()
-        start = time.perf_counter() if traced else 0.0
-        verdicts = self._verdicts(rows)
-        if self._drift is not None and rows:
-            # Inline the 1-in-k countdown (as RowGuard does) so the
-            # ``.ok`` extraction only runs over the sampled slice.
-            n = len(rows)
-            start = self._drift_tick - 1
-            if start >= n:
-                self._drift_tick -= n
-            else:
-                k = self._drift_every
-                last = start + ((n - 1 - start) // k) * k
-                self._drift_tick = last + k - n + 1
-                sampled = verdicts[start::k] if k > 1 else verdicts
-                self._drift.ingest_many(
-                    rows[start::k] if k > 1 else rows,
-                    [verdict.ok for verdict in sampled],
-                )
-        flagged = 0
-        for verdict in verdicts:
-            self.stats.rows_checked += 1
-            if not verdict.ok:
-                flagged += 1
-                self.stats.rows_flagged += 1
-                for attribute, _ in verdict.violations:
-                    self.stats.violations_by_attribute[attribute] = (
-                        self.stats.violations_by_attribute.get(attribute, 0)
-                        + 1
-                    )
-        if traced:
-            obs.observe(
-                "guard.batch_seconds", time.perf_counter() - start
-            )
-            obs.record(
-                "guard.batch", n_rows=len(rows), flagged=flagged
-            )
-        return verdicts
-
-    def check(self, row: Mapping[str, Hashable]) -> RowVerdict:
-        """Vet a single row (a batch of one; prefer :meth:`stream`)."""
-        return self.check_batch([row])[0]
-
-    def stream(
-        self, rows: Iterable[Mapping[str, Hashable]]
-    ) -> Iterator[RowVerdict]:
-        """Vet an incoming row stream with micro-batching.
-
-        Rows are buffered up to ``batch_size`` and flushed through the
-        kernel; verdicts are yielded in arrival order.  The tail batch
-        flushes when the iterable is exhausted.
-        """
-        buffer: list[Mapping[str, Hashable]] = []
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) >= self.batch_size:
-                yield from self.check_batch(buffer)
-                buffer = []
-        if buffer:
-            yield from self.check_batch(buffer)
-
-    def check_relation(self, relation: Relation) -> np.ndarray:
-        """Row-violation mask for a whole relation.
-
-        Compiles against the relation's own codecs (memoized), so this
-        matches :func:`repro.errors.detect.detect_errors` bit for bit.
-        """
-        result = compiled_for(self.program, relation).detect(relation)
-        self.stats.rows_checked += relation.n_rows
-        self.stats.rows_flagged += result.n_flagged
-        return result.row_mask
-
-    # ------------------------------------------------------------------
-
-    def _verdicts(
-        self, rows: list[Mapping[str, Hashable]]
-    ) -> list[RowVerdict]:
-        if not rows:
-            return []
-        compiled = self._compiled
-        if not compiled.statements:
-            return [RowVerdict(True) for _ in rows]
-        codes = {
-            attribute: np.fromiter(
-                (
-                    compiled.encode_value(attribute, row.get(attribute))
-                    for row in rows
-                ),
-                dtype=np.int32,
-                count=len(rows),
-            )
-            for attribute in compiled.attributes
-        }
-        result = compiled.run_codes(codes, len(rows))
-        per_row: dict[int, list[tuple[str, Hashable]]] = {}
-        for row_index, branch in result.iter_violations():
-            per_row.setdefault(row_index, []).append(
-                (branch.dependent, branch.literal)
-            )
-        return [
-            RowVerdict(False, tuple(per_row[index]))
-            if index in per_row
-            else RowVerdict(True)
-            for index in range(len(rows))
-        ]
-
-    def __len__(self) -> int:
-        return len(self._compiled.statements)
-
-
-class _Sentinel:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<no-branch>"
-
-
-_NO_BRANCH = _Sentinel()
+# ``perfbench/serve_mixed.py`` times the guard under this old name in its
+# traced run; the alias stays until that benchmark is updated.
+BatchGuard = Guard

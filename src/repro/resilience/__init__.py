@@ -100,6 +100,7 @@ from .policy import (
     GuardPolicy,
     GuardUnavailableError,
     ResilientBatchGuard,
+    ResilientGuard,
     ResilientRowGuard,
     resilient_call,
 )
@@ -109,7 +110,7 @@ from .recovery import (
     GuardrailVersions,
     HealOutcome,
     LiveBatchGuard,
-    LiveRowGuard,
+    LiveGuard,
     QuarantineBuffer,
     SupervisorConfig,
 )
@@ -123,8 +124,7 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "DegradationStats",
-    "ResilientRowGuard",
-    "ResilientBatchGuard",
+    "ResilientGuard",
     "resilient_call",
     "DRIFT_KINDS",
     "DriftAlert",
@@ -134,8 +134,7 @@ __all__ = [
     "OVERFLOW_POLICIES",
     "QuarantineBuffer",
     "GuardrailVersions",
-    "LiveRowGuard",
-    "LiveBatchGuard",
+    "LiveGuard",
     "SupervisorConfig",
     "HealOutcome",
     "GuardrailSupervisor",

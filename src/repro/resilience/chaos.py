@@ -37,8 +37,7 @@ from .policy import (
     CircuitBreaker,
     GuardPolicy,
     GuardUnavailableError,
-    ResilientBatchGuard,
-    ResilientRowGuard,
+    ResilientGuard,
 )
 
 FAULT_CLASSES = (
@@ -320,23 +319,16 @@ _MALFORMED_ROWS: list = [
 _MALFORMED_BAD = {1, 2, 6}  # indexes the bare guards cannot vet
 
 
-def _stream_guards(policy: GuardPolicy):
+def _stream_guard(policy: GuardPolicy) -> ResilientGuard:
     from ..synth import Guardrail
 
-    guardrail = Guardrail.from_program(chaos_program())
     # Generous breaker: the point here is per-row degradation, not
     # tripping the circuit (the breaker has its own unit tests).
-    row = ResilientRowGuard(
-        guardrail.row_guard(),
+    return ResilientGuard(
+        Guardrail.from_program(chaos_program()).guard(),
         policy=policy,
         breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
     )
-    batch = ResilientBatchGuard(
-        guardrail.batch_guard(batch_size=4),
-        policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10_000, max_retries=0),
-    )
-    return row, batch
 
 
 def _judge_stream(
@@ -345,13 +337,14 @@ def _judge_stream(
     rows: list,
     bad: set[int],
 ) -> ChaosOutcome:
-    """Stream ``rows`` through both resilient guards; check the policy.
+    """Stream ``rows`` through a resilient guard; check the policy.
 
-    ``bad`` marks the indexes the bare guards cannot vet; those must
+    ``bad`` marks the indexes the bare guard cannot vet; those must
     raise under ``strict`` and take the policy verdict otherwise, and
-    the row/batch wrappers must agree row for row.
+    the row path (``stream``) and the batch path (``check_batch``, with
+    per-row salvage) must agree row for row.
     """
-    row_guard, batch_guard = _stream_guards(policy)
+    row_guard, batch_guard = _stream_guard(policy), _stream_guard(policy)
     if policy is GuardPolicy.STRICT and bad:
         try:
             list(row_guard.stream(rows))
@@ -371,7 +364,7 @@ def _judge_stream(
         )
     try:
         row_verdicts = list(row_guard.stream(rows))
-        batch_verdicts = list(batch_guard.stream(rows))
+        batch_verdicts = batch_guard.check_batch(rows)
     except Exception as error:  # noqa: BLE001
         return ChaosOutcome(
             fault, policy, False, f"unhandled {type(error).__name__}: {error}"

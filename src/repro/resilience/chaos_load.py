@@ -11,7 +11,7 @@ contract instead of the single-call one:
   typed :class:`~repro.serve.ServeResponse`, never an exception, never
   a future nobody resolves;
 * **verdict parity** — every healthy (OK, non-degraded) response
-  matches a serial ``BatchGuard.check_batch`` reference for the
+  matches a serial ``Guard.check_batch`` reference for the
   guardrail version stamped on it, before, during, and after the
   fault;
 * **recovery** — after the fault clears, healthy verdicts flow again
@@ -131,7 +131,7 @@ def _load_rows() -> list[dict]:
 
 def _exploding_guardrail(program: Program):
     """A real :class:`~repro.synth.Guardrail` (it must pass ``swap``'s
-    validation) whose row/batch guards always raise — the injection
+    validation) whose guard always raises — the injection
     vehicle for ``guard_exception`` and ``breaker_trip``."""
     from ..synth import Guardrail
 
@@ -141,19 +141,13 @@ def _exploding_guardrail(program: Program):
         def check_batch(self, rows):
             raise RuntimeError("chaos: guard backend down")
 
-        def check_row(self, row):
-            raise RuntimeError("chaos: guard backend down")
-
         def rectify(self, row):
             raise RuntimeError("chaos: guard backend down")
 
     class _ExplodingServeGuardrail(Guardrail):
-        """Validates as a guardrail; serves only poisoned guards."""
+        """Validates as a guardrail; serves only a poisoned guard."""
 
-        def batch_guard(self, batch_size: int = 256):
-            return _ExplodingGuard()
-
-        def row_guard(self):
+        def guard(self):
             return _ExplodingGuard()
 
     return _ExplodingServeGuardrail.from_program(program)
@@ -225,14 +219,14 @@ async def _drive_load_fault(
     clients: int,
     requests: int,
 ) -> LoadOutcome:
-    from ..errors import BatchGuard
+    from ..errors import Guard
     from ..serve import GuardServer, TenantConfig
     from ..synth import Guardrail
 
     programs = _programs()
     rows = _load_rows()
     references = {
-        version: BatchGuard(program).check_batch(rows)
+        version: Guard(program).check_batch(rows)
         for version, program in programs.items()
     }
     config = TenantConfig(

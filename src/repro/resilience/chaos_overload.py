@@ -104,24 +104,16 @@ def _slow_guardrail(program, delay_s: float, counter: dict):
             counter["rows"] += len(rows)
             return self._inner.check_batch(rows)
 
-        def check_row(self, row):
-            time.sleep(delay_s)
-            counter["rows"] += 1
-            return self._inner.check_row(row)
-
         def rectify(self, row):
             time.sleep(delay_s)
             counter["rows"] += 1
             return self._inner.rectify(row)
 
     class _SlowServeGuardrail(Guardrail):
-        """Validates as a guardrail; serves only slowed guards."""
+        """Validates as a guardrail; serves only a slowed guard."""
 
-        def batch_guard(self, batch_size: int = 256):
-            return _SlowGuard(super().batch_guard(batch_size))
-
-        def row_guard(self):
-            return _SlowGuard(super().row_guard())
+        def guard(self):
+            return _SlowGuard(super().guard())
 
     return _SlowServeGuardrail.from_program(program)
 

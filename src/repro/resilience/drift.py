@@ -27,7 +27,7 @@ drift-instrumented guard stays within a few percent of bare-guard
 throughput (``benchmarks/test_drift_overhead.py`` enforces <10%).
 
     detector = DriftDetector.from_training(train, program=guard.program)
-    guard = gr.row_guard()
+    guard = gr.guard()
     guard.attach_drift(detector)
     for row in stream:
         guard.check(row)
@@ -241,15 +241,6 @@ class DriftDetector:
             self._tick = tick
             return
         self._tick = self.sample_every
-        self.ingest(row, ok)
-
-    def ingest(self, row: Mapping[str, Hashable], ok: bool) -> None:
-        """Buffer one *already-sampled* row (no countdown).
-
-        The streaming guards inline the 1-in-k countdown themselves
-        (so skipped rows never pay a method call) and hand every k-th
-        verdict here; external feeders should call :meth:`observe`.
-        """
         rows = self._rows
         rows.append(row)
         self._oks.append(ok)
@@ -273,7 +264,7 @@ class DriftDetector:
         rows: Sequence[Mapping[str, Hashable]],
         oks: Sequence[bool],
     ) -> None:
-        """Feed a vetted micro-batch (the :class:`BatchGuard` path).
+        """Feed a vetted micro-batch (``Guard.check_batch``).
 
         Sampling is applied across batch boundaries (the countdown
         carries over), so the batch path sees exactly the rows the

@@ -7,7 +7,7 @@ package is the long-lived deployment front-end over the same machinery:
   guardrails (tenants) and accepting concurrent ``check`` /
   ``rectify`` / ``predict`` requests;
 * per-tenant admission queues coalesce requests into
-  :class:`~repro.errors.BatchGuard` micro-batches (flush on
+  micro-batches for the tenant's :class:`~repro.errors.Guard` (flush on
   ``max_batch`` or ``max_wait_ms``) — verdicts stay bit-identical to
   a direct serial ``check_batch`` over the same rows;
 * bounded queues give typed backpressure: a full tenant rejects with

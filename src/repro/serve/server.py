@@ -2,8 +2,8 @@
 
 :class:`GuardServer` registers many named guardrails (tenants), accepts
 concurrent ``check`` / ``rectify`` / ``predict`` requests, and
-coalesces them per tenant into :class:`~repro.errors.BatchGuard`
-micro-batches.  Verdicts are bit-identical to a direct serial
+coalesces them per tenant into micro-batches vetted by one
+:class:`~repro.errors.Guard` stack.  Verdicts are bit-identical to a direct serial
 ``check_batch`` over the same rows — batching changes latency and
 throughput, never semantics — and per-tenant hot-swap
 (:meth:`GuardServer.swap`) takes effect between flushes, so no request

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..dsl import Program, program_coverage, program_loss, program_violations
+from ..dsl import (
+    Program,
+    compile_program,
+    program_coverage,
+    program_loss,
+    program_violations,
+)
 from ..pgm import CITester, PCResult, enumerate_mec, learn_cpdag
 from ..relation import Relation
 from ..sketch import FillCache, FillStats, ProgramSketch, SketchJudge, fill_program_sketch
@@ -590,29 +596,17 @@ class Guardrail:
 
     def check_row(self, row: dict) -> bool:
         """Does a single (decoded) row violate the constraints?"""
-        from ..dsl import row_conforms
+        return bool(compile_program(self.program).run_row(row))
 
-        return not row_conforms(self.program, row)
+    def guard(self):
+        """A :class:`repro.errors.Guard` over the fitted program.
 
-    def row_guard(self):
-        """A :class:`repro.errors.RowGuard` over the fitted program.
-
-        Per-row hash-probe vetting for one-at-a-time arrival; verdicts
+        Per-row vetting and repair for streaming arrival; verdicts
         match :meth:`check` exactly (canonical Eqn. 1 semantics).
         """
-        from ..errors import RowGuard
+        from ..errors import Guard
 
-        return RowGuard(self.program)
-
-    def batch_guard(self, batch_size: int = 256):
-        """A :class:`repro.errors.BatchGuard` over the fitted program.
-
-        Micro-batched kernel vetting for streaming arrival; verdicts
-        match :meth:`check` exactly (canonical Eqn. 1 semantics).
-        """
-        from ..errors import BatchGuard
-
-        return BatchGuard(self.program, batch_size=batch_size)
+        return Guard(self.program)
 
     def handle(self, relation: Relation, strategy: str = "rectify", pool=None):
         """Apply an error-handling strategy; see :mod:`repro.errors`.

@@ -7,17 +7,14 @@ from repro.dsl import (
     Condition,
     Program,
     Statement,
-    apply_branch,
     apply_statement,
     branch_masks,
-    branch_matches,
     condition_holds,
     condition_mask,
     program_violations,
     row_conforms,
     run_program,
     statement_coverage_mask,
-    statement_violations,
 )
 from repro.relation import Relation
 
@@ -28,15 +25,6 @@ class TestRowSemantics:
         assert condition_holds(cond, {"a": "x", "b": "y"})
         assert not condition_holds(cond, {"a": "x", "b": "z"})
         assert not condition_holds(cond, {"a": "x"})
-
-    def test_apply_branch_assigns(self):
-        b = Branch(Condition.of(a="x"), "c", "v")
-        assert apply_branch(b, {"a": "x", "c": "old"})["c"] == "v"
-
-    def test_apply_branch_noop_when_condition_fails(self):
-        b = Branch(Condition.of(a="x"), "c", "v")
-        row = {"a": "y", "c": "old"}
-        assert apply_branch(b, row) == row
 
     def test_apply_statement_first_matching_branch(self):
         stmt = Statement(
@@ -74,12 +62,6 @@ class TestRowSemantics:
         corrupted = dict(good, City="gibbon")
         assert not row_conforms(city_program, corrupted)
 
-    def test_branch_matches(self, city_program):
-        stmt = city_program.statement_for("City")
-        match = branch_matches(stmt, {"PostalCode": "73301"})
-        assert match is not None and match.literal == "Austin"
-        assert branch_matches(stmt, {"PostalCode": "00000"}) is None
-
 
 class TestVectorizedSemantics:
     def test_condition_mask(self, city_relation):
@@ -115,15 +97,6 @@ class TestVectorizedSemantics:
             assert mask[index] == (
                 not row_conforms(city_program, corrupted.row(index))
             )
-
-    def test_statement_violations_subset_of_program(
-        self, city_relation, city_program
-    ):
-        corrupted = city_relation.set_cell(3, "City", "gibbon")
-        stmt = city_program.statement_for("City")
-        stmt_mask = statement_violations(stmt, corrupted)
-        prog_mask = program_violations(city_program, corrupted)
-        assert not np.any(stmt_mask & ~prog_mask)
 
     def test_statement_coverage_mask_full(self, city_relation, city_program):
         stmt = city_program.statement_for("Country")
@@ -180,30 +153,3 @@ class TestCanonicalSemanticsRegressions:
         row = {"a": "a1", "b": "bad", "c": "c9"}
         fixed = run_program(program, row)
         assert fixed == {"a": "a1", "b": "b1", "c": "c1"}
-
-    def test_statement_violations_first_match(self):
-        """Regression: statement_violations OR-ed *all* branch masks.
-
-        With overlapping (hand-built) conditions only the first match
-        may judge a row, exactly as run_program applies branches.
-        """
-        statement = Statement(
-            ("a",),
-            "b",
-            (
-                Branch(Condition.of(a="x"), "b", "first"),
-                Branch(Condition.of(a="y"), "b", "other"),
-            ),
-        )
-        colliding = (
-            statement.branches[0],
-            Branch(Condition.of(a="x"), "b", "second"),
-        )
-        object.__setattr__(statement, "branches", colliding)
-        relation = Relation.from_rows(
-            [{"a": "x", "b": "first"}, {"a": "x", "b": "second"}]
-        )
-        mask = statement_violations(statement, relation)
-        # Row 0 satisfies the first branch; under the all-branches bug
-        # the second branch (b != 'second') also flagged it.
-        assert list(mask) == [False, True]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.errors import RowGuard
+from repro.errors import Guard
 
 
 class TestSpans:
@@ -209,7 +209,7 @@ class TestInstrumentation:
         assert "pgm.mec.dags_enumerated" in counters
 
     def test_row_guard_emits_verdicts(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         clean = {
             "PostalCode": "94704",
             "City": "Berkeley",
@@ -244,7 +244,7 @@ class TestInstrumentation:
         assert span_event["attrs"]["n_rows"] == city_relation.n_rows
 
     def test_untraced_behaviour_unchanged(self, city_program):
-        guard = RowGuard(city_program)
+        guard = Guard(city_program)
         verdict = guard.check({"PostalCode": "94704", "City": "wrong"})
         assert not verdict.ok
         assert guard.stats.rows_checked == 1

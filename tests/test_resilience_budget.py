@@ -157,7 +157,7 @@ class TestBudgetedSubsystems:
         # The partial program still vets the training data end to end.
         from repro.synth import Guardrail
 
-        guard = Guardrail.from_program(result.program).batch_guard()
+        guard = Guardrail.from_program(result.program).guard()
         mask = guard.check_relation(dense_relation)
         assert mask.shape == (dense_relation.n_rows,)
 

@@ -7,7 +7,7 @@ resilience primitives first met real concurrency:
 
 * the breaker's OPEN → HALF_OPEN flip admitted *every* caller racing
   the recovery window, stampeding the failing dependency;
-* ``_LiveGuardBase`` rebuilt its inner guard with a non-atomic
+* the live guard proxy rebuilt its inner guard with a non-atomic
   read-version / rebuild / assign, so checks racing a ``swap()`` could
   leave the proxy serving the old program under the new version label;
 * ``QuarantineBuffer.push`` checked capacity and appended non-
@@ -24,8 +24,7 @@ from repro.resilience import (
     BreakerState,
     CircuitBreaker,
     GuardrailVersions,
-    LiveBatchGuard,
-    LiveRowGuard,
+    LiveGuard,
     QuarantineBuffer,
 )
 from repro.synth import Guardrail
@@ -130,12 +129,18 @@ class TestLiveGuardSwapRace:
             Guardrail.from_program(_program("Berkeley"))
         )
 
-    @pytest.mark.parametrize("proxy_cls", [LiveRowGuard, LiveBatchGuard])
-    def test_swap_under_load_never_tears(self, proxy_cls):
+    @pytest.mark.parametrize("batched", [False, True], ids=["check", "batch"])
+    def test_swap_under_load_never_tears(self, batched):
         """Checks hammering the proxy while swaps land must always
         quiesce to a guard that agrees with the live version."""
         versions = self._versions()
-        guard = proxy_cls(versions)
+        guard = LiveGuard(versions)
+
+        def check(row):
+            if batched:
+                return guard.check_batch([row])[0]
+            return guard.check(row)
+
         programs = {
             1: Guardrail.from_program(_program("Berkeley")),  # row ok
             0: Guardrail.from_program(_program("Oakland")),   # row bad
@@ -145,7 +150,7 @@ class TestLiveGuardSwapRace:
         def hammer(i: int) -> int:
             checks = 0
             while not stop.is_set():
-                verdict = guard.check(dict(self.ROW))
+                verdict = check(dict(self.ROW))
                 # Every verdict comes from one of the two programs.
                 assert verdict.ok in (True, False)
                 checks += 1
@@ -168,7 +173,7 @@ class TestLiveGuardSwapRace:
         # torn state left the old program serving under the new label.
         expected_ok = versions.current.program is programs[1].program
         for _ in range(3):
-            assert guard.check(dict(self.ROW)).ok is expected_ok
+            assert check(dict(self.ROW)).ok is expected_ok
         version, inner = guard.current_snapshot()
         assert version == versions.version
 
@@ -176,7 +181,7 @@ class TestLiveGuardSwapRace:
         """current_snapshot() never pairs a new version number with a
         guard built from the old program (or vice versa)."""
         versions = self._versions()
-        guard = LiveRowGuard(versions)
+        guard = LiveGuard(versions)
         ok_program = _program("Berkeley")
         bad_program = _program("Oakland")
         stop = threading.Event()
@@ -214,20 +219,20 @@ class TestLiveGuardSwapRace:
         """Two racing first-checks must not rebuild twice and silently
         drop the first rebuild's stats counters."""
         versions = self._versions()
-        guard = LiveRowGuard(versions)
+        guard = LiveGuard(versions)
         builds: list[int] = []
-        original_build = LiveRowGuard._build
+        original_build = LiveGuard._build
 
         def counting_build(self, guardrail):
             builds.append(1)
             time.sleep(0.01)  # widen the race window
             return original_build(self, guardrail)
 
-        LiveRowGuard._build = counting_build
+        LiveGuard._build = counting_build
         try:
             _run_threads(8, lambda i: guard.check(dict(self.ROW)))
         finally:
-            LiveRowGuard._build = original_build
+            LiveGuard._build = original_build
         assert len(builds) == 1
         assert guard.stats.rows_checked == 8
 

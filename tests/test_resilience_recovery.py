@@ -1,8 +1,8 @@
 """Recovery layer: quarantine, versioned hot-swap, live guard proxies.
 
-Streaming edge cases from the self-healing PR: an empty batch through
-:class:`ResilientBatchGuard`, quarantine-buffer overflow policies, and
-row/batch verdict parity while a hot-swap is in flight.
+Streaming edge cases: an empty batch through :class:`ResilientGuard`,
+quarantine-buffer overflow policies, and row/batch verdict parity
+while a hot-swap is in flight.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from repro.resilience import (
     GuardPolicy,
     GuardrailVersions,
     QuarantineBuffer,
-    ResilientBatchGuard,
+    ResilientGuard,
     SupervisorConfig,
 )
 from repro.synth import Guardrail
@@ -135,7 +135,7 @@ class TestGuardrailVersions:
 class TestLiveGuards:
     def test_row_guard_follows_hot_swap(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.row_guard()
+        live = versions.guard()
         assert live.check(_ok_row()).ok
         versions.swap(Guardrail.from_program(_oakland_program()))
         assert live.version == 2
@@ -143,7 +143,7 @@ class TestLiveGuards:
 
     def test_batch_guard_follows_hot_swap(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=4)
+        live = versions.guard()
         assert all(v.ok for v in live.check_batch([_ok_row()] * 3))
         versions.swap(Guardrail.from_program(_oakland_program()))
         assert not any(v.ok for v in live.check_batch([_ok_row()] * 3))
@@ -152,8 +152,8 @@ class TestLiveGuards:
         """Swapping between batches must keep row/batch verdicts equal."""
         versions_a = GuardrailVersions(Guardrail.from_program(city_program))
         versions_b = GuardrailVersions(Guardrail.from_program(city_program))
-        row_live = versions_a.row_guard()
-        batch_live = versions_b.batch_guard(batch_size=4)
+        row_live = versions_a.guard()
+        batch_live = versions_b.guard()
         rows = [_ok_row() if i % 3 else _bad_row() for i in range(8)]
         # Drive both guards through the same swap schedule: first four
         # rows under v1, swap, last four under v2.
@@ -172,12 +172,12 @@ class TestLiveGuards:
 
     def test_batch_stream_picks_up_swap_at_boundary(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=2)
+        live = versions.guard()
 
         def rows():
             yield _ok_row()
             yield _ok_row()
-            # After the first flush, the guardrail changes under us.
+            # After two rows, the guardrail changes under us.
             versions.swap(Guardrail.from_program(_oakland_program()))
             yield _ok_row()
             yield _ok_row()
@@ -187,16 +187,14 @@ class TestLiveGuards:
 
     def test_drift_detector_survives_rebuild(self, city_program):
         class Recorder:
-            sample_every = 1
-
             def __init__(self):
                 self.seen = []
 
-            def ingest(self, row, ok):
+            def observe(self, row, ok):
                 self.seen.append(ok)
 
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.row_guard()
+        live = versions.guard()
         detector = Recorder()
         live.attach_drift(detector)
         live.check(_ok_row())
@@ -208,8 +206,8 @@ class TestLiveGuards:
 
 class TestResilientEdgeCases:
     def test_empty_batch_yields_no_verdicts(self, city_program):
-        guard = ResilientBatchGuard(
-            Guardrail.from_program(city_program).batch_guard(batch_size=4),
+        guard = ResilientGuard(
+            Guardrail.from_program(city_program).guard(),
             policy=GuardPolicy.WARN,
         )
         assert guard.check_batch([]) == []
@@ -218,7 +216,7 @@ class TestResilientEdgeCases:
 
     def test_empty_batch_through_live_guard(self, city_program):
         versions = GuardrailVersions(Guardrail.from_program(city_program))
-        live = versions.batch_guard(batch_size=4)
+        live = versions.guard()
         assert live.check_batch([]) == []
         assert list(live.stream([])) == []
 

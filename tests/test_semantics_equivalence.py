@@ -7,8 +7,10 @@ included) must produce identical verdicts from:
 * :func:`repro.dsl.row_conforms` (the reference row semantics),
 * :func:`repro.dsl.program_violations` (vectorized),
 * :func:`repro.errors.detect_errors` (compiled kernels),
-* :class:`repro.errors.RowGuard` (hash-probe streaming),
-* :class:`repro.errors.BatchGuard` (micro-batched kernels).
+* :meth:`repro.dsl.CompiledProgram.run_row` (first-match dict probes),
+* :meth:`repro.errors.Guard.check` and :meth:`~repro.errors.Guard.check_batch`
+  (the streaming guard),
+* :meth:`repro.synth.Guardrail.check_row`.
 
 Any divergence — all-branches vs first-match, branch-local vs threaded
 reads, sentinel aliasing of unseen literals — shows up here as a
@@ -28,8 +30,9 @@ from repro.dsl import (
     program_violations,
     row_conforms,
 )
-from repro.errors import BatchGuard, RowGuard, detect_errors
+from repro.errors import Guard, detect_errors
 from repro.relation import Relation
+from repro.synth import Guardrail
 
 N_CASES = 220
 
@@ -105,13 +108,14 @@ def test_all_paths_agree_on_random_programs(seed):
         reference = [not row_conforms(program, row) for row in rows]
         vector = program_violations(program, relation)
         detection = detect_errors(program, relation)
-        kernel = compiled_for(program, relation).detect(relation)
-        row_guard = RowGuard(program)
-        single = [row_guard.check(row) for row in rows]
-        batch_guard = BatchGuard(
-            program, batch_size=max(1, relation.n_rows // 3)
-        )
-        batched = list(batch_guard.stream(rows))
+        compiled = compiled_for(program, relation)
+        kernel = compiled.detect(relation)
+        guard = Guard(program)
+        single = [guard.check(row) for row in rows]
+        batched = Guard(program).check_batch(rows)
+        probed = [compiled.run_row(row) for row in rows]
+        guardrail = Guardrail.from_program(program)
+        facade = [guardrail.check_row(row) for row in rows]
 
         context = f"seed={seed} case={case} program={program!r}"
         assert list(vector) == reference, context
@@ -119,9 +123,11 @@ def test_all_paths_agree_on_random_programs(seed):
         assert list(kernel.row_mask) == reference, context
         assert [not v.ok for v in single] == reference, context
         assert [not v.ok for v in batched] == reference, context
+        assert [bool(writes) for writes in probed] == reference, context
+        assert facade == reference, context
 
         # The implicated (attribute, expected) cells must agree between
-        # the detection path and both guards, row by row.
+        # the detection path and every row-level path, row by row.
         by_row: dict[int, set] = {}
         for violation in detection.violations:
             by_row.setdefault(violation.row, set()).add(
@@ -131,6 +137,7 @@ def test_all_paths_agree_on_random_programs(seed):
             expected_cells = by_row.get(index, set())
             assert set(single[index].violations) == expected_cells, context
             assert set(batched[index].violations) == expected_cells, context
+            assert set(probed[index]) == expected_cells, context
 
 
 def test_case_generator_is_exercised():

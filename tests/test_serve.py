@@ -1,7 +1,7 @@
 """Unit tests for the asyncio multi-tenant guard service.
 
 Covers the service semantics the serve PR promises: micro-batched
-verdicts bit-identical to direct serial ``BatchGuard.check_batch``,
+verdicts bit-identical to direct serial ``Guard.check_batch``,
 blocking vs parallel predict modes, typed backpressure rejections,
 per-tenant degradation policies, hot-swap under traffic, and the
 per-tenant metrics/obs surface.
@@ -13,8 +13,9 @@ import pytest
 
 from repro import obs
 from repro.dsl import Branch, Condition, Program, Statement
-from repro.errors import BatchGuard
-from repro.resilience import GuardrailVersions
+from repro.errors import Guard
+from repro.relation import Relation
+from repro.resilience import DriftDetector, GuardrailVersions
 from repro.serve import (
     GuardServer,
     ServeMode,
@@ -220,9 +221,9 @@ class TestSupervisionAndDrain:
 class TestBatchedVerdictParity:
     async def test_verdicts_match_direct_serial_batch_guard(self):
         """Micro-batched service verdicts are bit-identical to a
-        direct serial BatchGuard.check_batch over the same rows."""
+        direct serial Guard.check_batch over the same rows."""
         rows = _rows(96)
-        reference = BatchGuard(_program()).check_batch(rows)
+        reference = Guard(_program()).check_batch(rows)
         for mode in ("blocking", "parallel"):
             server = GuardServer()
             server.register(
@@ -369,6 +370,30 @@ class TestBackpressure:
         assert all(r.ok for r in responses)
 
 
+class TestDriftWiring:
+    async def test_served_checks_feed_the_tenant_drift_detector(self):
+        """Every served verdict reaches an attached detector; before one
+        guard stack per tenant, only rectify traffic did."""
+        detector = DriftDetector.from_training(
+            Relation.from_rows(_rows(30)),
+            program=_program(),
+            window=50,
+            min_window=1,
+            sample_every=1,
+        )
+        server = GuardServer()
+        server.register("a", _guardrail(), predictor=lambda row: "p")
+        server.tenant("a").attach_drift(detector)
+        async with server:
+            responses = await asyncio.gather(
+                *(server.check("a", row) for row in _rows(150)),
+                *(server.predict("a", row) for row in _rows(50)),
+            )
+        assert all(r.ok for r in responses)
+        detector.flush()
+        assert detector.stats.rows_observed == 200
+
+
 class TestDegradation:
     class _Bomb:
         """A guardrail-shaped object whose batch kernel always dies."""
@@ -379,10 +404,7 @@ class TestDegradation:
             self.config = guardrail.config
             self._result = None
 
-        def batch_guard(self, batch_size=256):
-            raise RuntimeError("kernel exploded")
-
-        def row_guard(self):
+        def guard(self):
             raise RuntimeError("kernel exploded")
 
     def _bombed_versions(self) -> GuardrailVersions:
@@ -545,8 +567,8 @@ class TestHotSwap:
         it reports — across a mid-traffic hot-swap."""
         rows = _rows(256)
         references = {
-            1: BatchGuard(_program("Berkeley")).check_batch(rows),
-            2: BatchGuard(_program("Oakland")).check_batch(rows),
+            1: Guard(_program("Berkeley")).check_batch(rows),
+            2: Guard(_program("Oakland")).check_batch(rows),
         }
         server = GuardServer()
         server.register(

@@ -18,11 +18,13 @@ import pytest
 from repro import obs
 from repro.dsl import Branch, Condition, Program, Statement
 from repro.obs.report import ObsReport, aggregate_overload
+from repro.relation import Relation
 from repro.resilience import (
     STEADY_CLOCK,
     AdmissionController,
     BrownoutConfig,
     BrownoutController,
+    DriftDetector,
     FairShareLimiter,
     SteadyClock,
     recover_runtime_state,
@@ -62,22 +64,14 @@ def _slow_guardrail(delay_s: float, counter: dict) -> Guardrail:
             counter["rows"] += len(rows)
             return self._inner.check_batch(rows)
 
-        def check_row(self, row):
-            time.sleep(delay_s)
-            counter["rows"] += 1
-            return self._inner.check_row(row)
-
         def rectify(self, row):
             time.sleep(delay_s)
             counter["rows"] += 1
             return self._inner.rectify(row)
 
     class _SlowServeGuardrail(Guardrail):
-        def batch_guard(self, batch_size: int = 256):
-            return _SlowGuard(super().batch_guard(batch_size))
-
-        def row_guard(self):
-            return _SlowGuard(super().row_guard())
+        def guard(self):
+            return _SlowGuard(super().guard())
 
     return _SlowServeGuardrail.from_program(_program())
 
@@ -520,6 +514,38 @@ class TestBrownoutServing:
         metrics = server.tenant("a").metrics
         assert metrics.events_shed > 0
         assert len(server.tenant("a").events) < 16
+
+    def test_tier_two_widens_the_guards_drift_sampling(self):
+        """Widening the detector's ``sample_every`` must reach the
+        tenant's guard: the countdown lives in the detector alone, not
+        in a copy the guard took at attach time."""
+        server = GuardServer(
+            brownout=BrownoutConfig(
+                step_down_after=1,
+                cool_seconds=100.0,
+                min_dwell_seconds=0.0,
+                drift_widen_factor=6,
+            )
+        )
+        server.register("a", _guardrail())
+        tenant = server.tenant("a")
+        detector = DriftDetector.from_training(
+            Relation.from_rows([ROW] * 8),
+            program=_program(),
+            window=1000,
+            min_window=1,
+            sample_every=8,
+        )
+        tenant.attach_drift(detector)
+        for _ in range(2):
+            server.brownout.observe(True)
+        tenant.apply_brownout_effects()
+        assert detector.sample_every == 48
+        for _ in range(480):
+            tenant.guard.check(dict(ROW))
+        detector.flush()
+        # 1-in-48 over 480 rows; the attach-time copy sampled 1-in-8.
+        assert detector.stats.rows_observed == 10
 
     async def test_transitions_surface_in_report_and_snapshot(self):
         server = GuardServer(budget=4, brownout=self._CONFIG)

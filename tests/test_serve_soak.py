@@ -5,7 +5,7 @@ Drives 4 tenants x 16 concurrent closed-loop clients through
 deliberately under-provisioned tenant, then audits the run:
 
 * every verdict is bit-identical to a direct serial
-  ``BatchGuard.check_batch`` reference for the guardrail version the
+  ``Guard.check_batch`` reference for the guardrail version the
   response reports (no torn versions across the swap);
 * zero dropped or duplicated requests — request ids are unique and
   every submitted request resolved exactly once;
@@ -18,7 +18,7 @@ import asyncio
 import pytest
 
 from repro.dsl import Branch, Condition, Program, Statement
-from repro.errors import BatchGuard
+from repro.errors import Guard
 from repro.serve import GuardServer, ServeStatus, TenantConfig
 from repro.synth import Guardrail
 
@@ -51,7 +51,7 @@ async def test_soak_four_tenants_hot_swap_mid_run():
     rows = _rows(CLIENTS * REQUESTS_PER_CLIENT)
     # Serial references, one per guardrail version, computed up front.
     references = {
-        version: BatchGuard(program).check_batch(rows)
+        version: Guard(program).check_batch(rows)
         for version, program in programs.items()
     }
 

@@ -1,9 +1,9 @@
-"""Tests for the streaming RowGuard and BIC hill climbing."""
+"""Tests for the streaming Guard and BIC hill climbing."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DataIntegrityError, RowGuard, detect_errors
+from repro.errors import DataIntegrityError, Guard, detect_errors
 from repro.pgm import (
     DAG,
     BicScorer,
@@ -16,8 +16,8 @@ from repro.synth import GuardrailConfig, synthesize
 
 class TestRowGuard:
     @pytest.fixture
-    def guard(self, city_program) -> RowGuard:
-        return RowGuard(city_program)
+    def guard(self, city_program) -> Guard:
+        return Guard(city_program)
 
     def test_clean_row_passes(self, guard):
         verdict = guard.check(
