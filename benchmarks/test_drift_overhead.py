@@ -16,12 +16,11 @@ preserved.  ``benchmarks/README.md`` documents the format.
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
-from conftest import banner
+from conftest import banner, paired
 from repro.pgm import DAG, random_sem, sem_to_program
 from repro.resilience import DriftDetector
 from repro.synth import Guardrail
@@ -50,33 +49,6 @@ def workload():
     guardrail = Guardrail.from_program(sem_to_program(sem, relation))
     rows = list(relation.iter_rows())
     return guardrail, relation, rows
-
-
-def _paired(bare_fn, drift_fn, repeats=_REPEATS):
-    """Paired timing: (best bare, best drifted, median pair ratio).
-
-    Each repeat times the two callables back to back (alternating
-    which goes first), so both legs of a pair share the machine's load
-    conditions; the *median* of the per-pair ratios is then robust to
-    load spikes that would skew a single best-of series either way.
-    """
-    import statistics
-
-    def once(fn):
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
-
-    bare_times, drift_times, ratios = [], [], []
-    for i in range(repeats):
-        if i % 2:
-            drift_times.append(once(drift_fn))
-            bare_times.append(once(bare_fn))
-        else:
-            bare_times.append(once(bare_fn))
-            drift_times.append(once(drift_fn))
-        ratios.append(drift_times[-1] / bare_times[-1])
-    return min(bare_times), min(drift_times), statistics.median(ratios)
 
 
 def _batches(guard, rows):
@@ -135,13 +107,15 @@ def test_drift_instrumentation_overhead(workload):
         guard.check(rows[0])
         guard.check_batch(rows[:_BATCH])
 
-    t_bare_row, t_drift_row, row_ratio = _paired(
+    t_bare_row, t_drift_row, row_ratio = paired(
         lambda: [bare.check(r) for r in rows],
         lambda: [drifted.check(r) for r in rows],
+        _REPEATS,
     )
-    t_bare_batch, t_drift_batch, batch_ratio = _paired(
+    t_bare_batch, t_drift_batch, batch_ratio = paired(
         lambda: _batches(bare, rows),
         lambda: _batches(drifted, rows),
+        _REPEATS,
     )
     measurements = {
         "n_rows": _N_ROWS,

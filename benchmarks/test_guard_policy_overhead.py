@@ -6,17 +6,15 @@ the acceptance bar for the resilience PR is policy-wrapped throughput
 within 10% of the bare guards on the healthy path.
 """
 
-import time
-
 import pytest
 
-from conftest import banner
+from conftest import banner, paired
 from repro.pgm import DAG, random_sem, sem_to_program
 from repro.resilience import CircuitBreaker, ResilientGuard
 from repro.synth import Guardrail
 
 _N_ROWS = 4000
-_REPEATS = 5
+_REPEATS = 15
 _BATCH = 256
 """Rows per ``check_batch`` call (the micro-batch ``stream`` used to
 flush when this benchmark was written)."""
@@ -38,16 +36,6 @@ def workload():
     guardrail = Guardrail.from_program(sem_to_program(sem, relation))
     rows = list(relation.iter_rows())
     return guardrail, relation, rows
-
-
-def _best_of(fn, repeats=_REPEATS):
-    """Best-of-N wall time: robust to scheduler noise on shared CI."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _wrap(guardrail):
@@ -77,16 +65,19 @@ def test_policy_wrapper_overhead(workload):
         guard.check(rows[0])
         guard.check_batch(rows[:_BATCH])
 
-    t_bare_row = _best_of(lambda: [bare.check(r) for r in rows])
-    t_wrapped_row = _best_of(lambda: [wrapped.check(r) for r in rows])
-    t_bare_batch = _best_of(lambda: _batches(bare, rows))
-    t_wrapped_batch = _best_of(lambda: _batches(wrapped, rows))
-
-    row_ratio = t_wrapped_row / t_bare_row
-    batch_ratio = t_wrapped_batch / t_bare_batch
+    t_bare_row, t_wrapped_row, row_ratio = paired(
+        lambda: [bare.check(r) for r in rows],
+        lambda: [wrapped.check(r) for r in rows],
+        _REPEATS,
+    )
+    t_bare_batch, t_wrapped_batch, batch_ratio = paired(
+        lambda: _batches(bare, rows),
+        lambda: _batches(wrapped, rows),
+        _REPEATS,
+    )
     body = (
-        f"rows: {_N_ROWS}, best of {_REPEATS} runs, "
-        f"batches of {_BATCH}\n"
+        f"rows: {_N_ROWS}, {_REPEATS} paired runs, "
+        f"ratio = median of per-pair ratios, batches of {_BATCH}\n"
         f"check       bare {t_bare_row * 1e3:8.2f} ms   "
         f"wrapped {t_wrapped_row * 1e3:8.2f} ms   "
         f"ratio {row_ratio:.3f}\n"

@@ -45,7 +45,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .. import obs
-from ..pgm.independence import _g2_from_table, _x2_from_table
+from ..pgm.independence import table_statistics
 from ..relation import Relation
 from ..relation.encoding import Codec
 
@@ -572,8 +572,8 @@ class DriftDetector:
             if value in ref.codec:
                 window_counts[ref.codec.encode_one(value)] = count
         window_counts[-1] = unseen
-        stat_fn = _x2_from_table if self.method == "x2" else _g2_from_table
-        statistic, dof = stat_fn(table)
+        statistics, dofs = table_statistics(table[None], self.method)
+        statistic, dof = float(statistics[0]), int(dofs[0])
         if dof == 0 or seen_total < self.min_window:
             return
         # Compare against the cached critical value; the p-value itself

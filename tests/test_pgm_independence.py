@@ -6,6 +6,8 @@ import pytest
 from repro.pgm import CITester, IndependenceError
 from repro.relation import Relation
 
+from .ci_reference import reference_test
+
 
 def make_tester(columns: dict[str, np.ndarray], **kwargs) -> CITester:
     names = list(columns)
@@ -101,8 +103,9 @@ class TestEdgeCases:
         assert tester.test("x", "y").independent
 
     def test_x2_method(self, dependent_data):
-        codes = dependent_data._codes
-        tester = CITester(codes, dependent_data.names, method="x2")
+        names = dependent_data.names
+        codes = np.column_stack([dependent_data.column(n) for n in names])
+        tester = CITester(codes, names, method="x2")
         assert not tester.independent("x", "y")
 
     def test_unknown_method_rejected(self):
@@ -125,3 +128,156 @@ class TestEdgeCases:
         )
         tester = CITester.from_relation(relation)
         assert set(tester.names) == {"a", "b"}
+
+
+def _assert_matches(result, expected):
+    assert result.independent == expected.independent
+    assert result.dof == expected.dof
+    for field in ("statistic", "p_value"):
+        assert getattr(result, field) == pytest.approx(
+            getattr(expected, field), rel=1e-12, abs=0
+        )
+
+
+def _random_columns(seed: int) -> dict[str, np.ndarray]:
+    """Five seeded code columns, cardinalities 2–40, a chain of
+    dependences, and a few MISSING cells."""
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(200, 3000))
+    columns = {}
+    previous = None
+    for i in range(5):
+        cardinality = int(rng.integers(2, 41))
+        column = rng.integers(0, cardinality, n_rows)
+        if previous is not None:
+            copy = rng.random(n_rows) < 0.6
+            column[copy] = previous[copy] % cardinality
+        previous = column
+        column = column.astype(np.int32)
+        column[rng.random(n_rows) < 0.02] = -1  # MISSING
+        columns[f"c{i}"] = column
+    return columns
+
+
+class TestReferenceOracle:
+    """The one-pass tester against the per-stratum reference loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("min_samples_per_dof", [0.0, 5.0])
+    @pytest.mark.parametrize("method", ["g2", "x2"])
+    def test_matches_per_stratum_loop(self, seed, min_samples_per_dof, method):
+        columns = _random_columns(seed)
+        tester = make_tester(
+            columns, method=method, min_samples_per_dof=min_samples_per_dof
+        )
+        names = list(columns)
+        rng = np.random.default_rng([seed, 1])
+        for n_given in range(4):
+            for _ in range(3):
+                x, y, *z = rng.permutation(names)[: 2 + n_given]
+                expected = reference_test(
+                    columns, x, y, tuple(sorted(z)), method=method,
+                    min_samples_per_dof=min_samples_per_dof,
+                )
+                _assert_matches(tester.test(x, y, z), expected)
+
+    @pytest.mark.parametrize("method", ["g2", "x2"])
+    def test_bit_identical_on_binary_columns(self, rng, method):
+        # PC sees the auxiliary sampler's binary columns: every stratum
+        # table has the same 2x2 shape, so sums run in the same order.
+        columns = {}
+        previous = rng.integers(0, 2, 5000)
+        for name in "abcdef":
+            flip = rng.random(5000) < 0.3
+            previous = np.where(flip, 1 - previous, previous)
+            columns[name] = previous.astype(np.int32)
+        tester = make_tester(columns, method=method, min_samples_per_dof=5.0)
+        for n_given in range(4):
+            for _ in range(5):
+                x, y, *z = rng.permutation(list(columns))[: 2 + n_given]
+                z = tuple(sorted(z))
+                assert tester.test(x, y, z) == reference_test(
+                    columns, x, y, z, method=method, min_samples_per_dof=5.0
+                )
+
+    def test_key_range_beyond_int64_is_renumbered(self, rng):
+        # Four conditioning columns coded 0 or 109 999: their mixed-radix
+        # range (1.5e20) overflows int64 unless renumbered on the way.
+        # With binary x and y every stratum table is 2x2, so the result
+        # must be bit-identical, strata summed in lexicographic order.
+        columns = {
+            name: (rng.integers(0, 2, 400) * 109_999).astype(np.int32)
+            for name in ("z0", "z1", "z2", "z3")
+        }
+        columns["x"] = rng.integers(0, 2, 400).astype(np.int32)
+        columns["y"] = np.where(
+            rng.random(400) < 0.3, 1 - columns["x"], columns["x"]
+        ).astype(np.int32)
+        given = ("z0", "z1", "z2", "z3")
+        for method in ("g2", "x2"):
+            tester = make_tester(columns, method=method)
+            assert tester.test("x", "y", given) == reference_test(
+                columns, "x", "y", given, method=method
+            )
+
+    @pytest.mark.parametrize("min_samples_per_dof", [0.0, 5.0])
+    @pytest.mark.parametrize("method", ["g2", "x2"])
+    def test_wide_composite_given_strata(
+        self, rng, method, min_samples_per_dof
+    ):
+        # A composite of three determinants (one code per combination,
+        # ~2000 codes over 3000 rows) against a 512-code dependent:
+        # |X|·|Y| is hundreds of times the row count, so each stratum's
+        # table is sized by the values that occur in it.
+        from repro.sketch.nontriviality import compound_codes
+
+        n_rows = 3000
+        parts = [rng.integers(0, 16, n_rows) for _ in range(3)]
+        dependent = (parts[0] * 32 + rng.integers(0, 32, n_rows)) % 512
+        columns = {
+            "dependent": dependent.astype(np.int32),
+            "z0": rng.integers(0, 8, n_rows).astype(np.int32),
+            "z1": rng.integers(0, 3, n_rows).astype(np.int32),
+        }
+        columns["z1"][rng.random(n_rows) < 0.05] = -1  # MISSING
+        tester = make_tester(
+            columns, method=method, min_samples_per_dof=min_samples_per_dof
+        )
+        columns["composite"] = compound_codes(parts)
+        tester.add_column("composite", columns["composite"])
+        for given in [(), ("z0",), ("z1",), ("z0", "z1")]:
+            expected = reference_test(
+                columns, "dependent", "composite", given, method=method,
+                min_samples_per_dof=min_samples_per_dof,
+            )
+            result = tester.test("dependent", "composite", given)
+            _assert_matches(result, expected)
+
+    def test_wide_relation_within_memory_bound(self):
+        """Raw Adult: one column of 512 codes, three conditioning
+        columns of 12–16.  Strata are counted in chunks, so the peak
+        stays a small multiple of ``max(rows, |X|·|Y|)`` cells instead of
+        the ~9M-cell table an unchunked ``|Z| = 3`` query would need."""
+        import tracemalloc
+
+        from repro.datasets import load
+
+        relation = load("Adult").relation
+        tester = CITester.from_relation(relation)
+        names = tester.names
+        columns = {n: tester.column(n) for n in names}
+        x, y, *z = sorted(
+            names, key=lambda n: int(columns[n].max()), reverse=True
+        )[:5]
+        n_cells = (int(columns[x].max()) + 1) * (int(columns[y].max()) + 1)
+        bound_bytes = max(relation.n_rows, n_cells) * 8
+
+        tracemalloc.start()
+        try:
+            result = tester.test(x, y, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = reference_test(columns, x, y, tuple(sorted(z)))
+        _assert_matches(result, expected)
+        assert peak < 16 * bound_bytes, (peak, bound_bytes)

@@ -138,8 +138,10 @@ class TestBudgetedSubsystems:
         self, dense_relation
     ):
         """Acceptance: a dense SEM under a tight deadline yields a valid
-        partial program within 2x the deadline."""
-        deadline = 0.25
+        partial program within 2x the deadline.  The deadline is a
+        fraction of the unbudgeted run (~0.15-0.26 s of PC alone on a
+        2-core VM), so the budget binds."""
+        deadline = 0.05
         budget = Budget(seconds=deadline)
         start = time.perf_counter()
         result = synthesize(

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.pgm import CITester
+from repro.pgm import CITester, IndependenceError
 from repro.sketch import ProgramSketch, SketchJudge, StatementSketch, compound_codes
+
+from .ci_reference import reference_test
 
 
 def make_judge(columns: dict[str, np.ndarray], alpha=0.01) -> SketchJudge:
@@ -116,3 +118,42 @@ class TestGNT:
             ProgramSketch((StatementSketch(("a",), "b"),))
         )
         assert len(pruned) == 0
+
+
+class TestCompositeColumns:
+    def test_composite_added_after_queries_matches_reference(self, rng):
+        """A composite added once queries have run is tested against
+        its own codes, not a stale column cache."""
+        a = rng.integers(0, 3, 3000).astype(np.int32)
+        b = rng.integers(0, 4, 3000).astype(np.int32)
+        c = ((a + b) % 3).astype(np.int32)
+        c[rng.random(3000) < 0.2] = rng.integers(0, 3)
+        d = rng.integers(0, 2, 3000).astype(np.int32)
+        a[:40] = -1  # MISSING propagates into the composite
+        columns = {"a": a, "b": b, "c": c, "d": d}
+        names = list(columns)
+        codes = np.column_stack([columns[n] for n in names])
+        tester = CITester(codes, names, alpha=0.01)
+        judge = SketchJudge(tester)
+        tester.test("a", "c")
+        tester.test("a", "c", ["d"])
+
+        assert judge.is_lnt(StatementSketch(("a", "b"), "c"))
+        assert tester.names == ["a", "b", "c", "d", "a&b"]
+        columns["a&b"] = compound_codes([a, b])
+        assert np.array_equal(tester.column("a&b"), columns["a&b"])
+        for given in ((), ("d",)):
+            expected = reference_test(columns, "c", "a&b", given, alpha=0.01)
+            result = tester.test("c", "a&b", given)
+            assert result.independent == expected.independent
+            assert result.dof == expected.dof
+            assert result.statistic == pytest.approx(
+                expected.statistic, rel=1e-12, abs=0
+            )
+
+    def test_add_column_rejects_duplicates_and_bad_shapes(self):
+        tester = CITester(np.zeros((4, 1), dtype=np.int32), ["a"])
+        with pytest.raises(IndependenceError):
+            tester.add_column("a", np.zeros(4, dtype=np.int32))
+        with pytest.raises(IndependenceError):
+            tester.add_column("b", np.zeros(3, dtype=np.int32))
